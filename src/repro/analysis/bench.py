@@ -389,11 +389,15 @@ def run_bench(
     --assert-overhead``).
 
     ``mode="lazypim"`` measures the per-workload throughput section
-    through the speculative batch-coherence engine.  The kernel, sweep
-    and cluster sections always run pessimistically (their identity
-    cross-checks compare against paths speculation does not share), and
-    the recorded-baseline / no-sink comparisons are suppressed — a
-    speculative rate is not comparable with a per-access baseline.
+    through the speculative batch-coherence engine, and adds a
+    ``lazypim`` section that times each workload pessimistically too
+    (same repeats, same config) and records the ratio of the two rates
+    — the host cost of speculation against the protocol it models.  The
+    kernel, sweep and cluster sections always run pessimistically (their
+    identity cross-checks compare against paths speculation does not
+    share), and the recorded-baseline / no-sink comparisons are
+    suppressed — a speculative rate is not comparable with a per-access
+    baseline.
     """
     if repeats is None:
         repeats = 3 if quick else 5
@@ -461,6 +465,14 @@ def run_bench(
         if mode == "lazypim":
             entry["batch_commits"] = stats.batch_commits
             entry["batch_rollbacks"] = stats.batch_rollbacks
+            pessimistic_rate, _ = measure_replay(
+                buffer, base_config, repeats=repeats
+            )
+            report.setdefault("lazypim", {})[name] = {
+                "refs_per_sec": round(rate),
+                "pessimistic_refs_per_sec": round(pessimistic_rate),
+                "ratio": round(rate / pessimistic_rate, 4),
+            }
         report["workloads"][name] = entry
 
     logger.info("comparing replay kernels on the hot workload")
@@ -544,6 +556,12 @@ def format_report(report: dict) -> str:
         lines.append(
             f"  {name:>7}: {entry['refs_per_sec']:>10,} refs/sec, "
             f"hit ratio {entry['hit_ratio']:.4f}{speedup}"
+        )
+    for name, entry in (report.get("lazypim") or {}).items():
+        lines.append(
+            f"  lazypim {name:>7}: {entry['refs_per_sec']:>10,} refs/sec vs "
+            f"pessimistic {entry['pessimistic_refs_per_sec']:,} "
+            f"({entry['ratio']:.2f}x)"
         )
     kernels = report.get("kernels")
     if kernels:

@@ -88,8 +88,18 @@ def _report_sections(report: dict) -> Dict[str, float]:
             if value > 0:
                 sections[name] = value
 
-    for workload, entry in report.get("workloads", {}).items():
-        keep(f"workload.{workload}.refs_per_sec", entry.get("refs_per_sec"))
+    lazypim = report.get("lazypim")
+    if lazypim:
+        # A speculative run's workload rates live under their own names
+        # so they never mix with the pessimistic history of the same
+        # workload.
+        for workload, entry in lazypim.items():
+            for key in ("refs_per_sec", "pessimistic_refs_per_sec", "ratio"):
+                keep(f"lazypim.{workload}.{key}", entry.get(key))
+    else:
+        for workload, entry in report.get("workloads", {}).items():
+            keep(f"workload.{workload}.refs_per_sec",
+                 entry.get("refs_per_sec"))
     kernels = report.get("kernels") or {}
     keep("kernels.interpreted_refs_per_sec",
          kernels.get("interpreted_refs_per_sec"))

@@ -1088,7 +1088,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "fails (default 2)")
     submit.add_argument("--kernel", default="auto",
                         choices=["auto", "generated", "interpreted"],
-                        help="replay kernel (default auto)")
+                        help="replay kernel (default auto; under --mode "
+                             "lazypim only --batch-refs 1 uses it)")
     submit.add_argument("--seed", type=int, default=None,
                         help="seed recorded in the provenance manifest")
     _add_cache_options(submit)

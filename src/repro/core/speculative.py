@@ -42,16 +42,36 @@ only the *pricing*:
   write-throughs) and the lock protocol's block-less broadcast rounds
   are never elided — speculation amortizes coherence *control*, not
   data movement or lock liveness.
-* **Rollback.**  A conflicting batch snapshots the full simulator state
-  (:func:`repro.serve.checkpoint.snapshot`) before the attempt, runs the
-  attempt anyway (the machinery under test), rewinds in place
-  (:func:`repro.serve.checkpoint.restore_into`) and re-executes the
-  batch pessimistically.  Rollbacks must be invisible in final state —
-  the differential oracle (:mod:`repro.verify.oracle`) replays the
+* **Rollback.**  A conflicting batch takes a batch-scoped undo record
+  (:class:`_UndoRecord`) before the attempt, runs the attempt anyway
+  (the machinery under test), rewinds in place and re-executes the
+  batch pessimistically.  A reference can only fill (and evict from)
+  the set its block indexes in the issuing PE's cache, and elsewhere
+  only change or drop copies of its own block, so the record holds, per
+  PE, the sets that PE's references index and the lone copies of the
+  batch's other blocks (plus each cache's LRU clock), the presence-map
+  and directory entries and, under data tracking, the memory words of
+  those blocks, the stats counters, the interconnect timeline and a
+  cluster shard's network state — O(batch), not O(system).  Rollbacks must be invisible in final state — the
+  differential oracle (:mod:`repro.verify.oracle`) replays the
   speculative path against flat memory to enforce exactly that.  The
   attempt's wasted local work is not charged (its counters are rewound
   with the rest of the state); the rollback penalty that *is* modeled is
   the pessimistic re-execution plus the ``batch_rollbacks`` count.
+
+Every batch — attempt and pessimistic re-execution alike — runs through
+the interpreted dispatch loop (:func:`repro.core.replay._interpret`, the
+loop ``replay(kernel="interpreted")`` runs), with its hit handles bound
+once per driver and op/area codes validated once per
+:meth:`SpeculativeDriver.feed`.  Lock barriers keep batches short (on
+the 150K-reference ``tri`` prefix 41 references on average, 14 at the
+median), and over so few references per-call set-up dominates: the
+generated kernel's numpy preparation and cross-PE mirror rebuild cost
+about 3x the interpreted loop per batch, and calling ``replay()`` per
+batch ran that prefix 15% slower than the bound loop.  With oracle
+hooks (``values``/``on_result``) batches take the per-access loop.  The
+``kernel`` argument of :func:`replay_speculative` therefore only
+selects the loop of the ``batch_refs <= 1`` short-circuit.
 
 Batch boundaries: every ``batch_refs`` references, with lock-directory
 operations (``LR``/``UW``/``U``, and any flagged contended reference)
@@ -79,11 +99,17 @@ carries over unchanged.
 
 from __future__ import annotations
 
+import re
+from itertools import repeat
+from operator import rshift
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.config import SimulationConfig
 from repro.core.replay import (
     ReplayBlockedError,
+    _hit_handles,
+    _interpret,
+    _validate_codes,
     invariant_check_interval,
     replay,
     replay_access_driven,
@@ -115,8 +141,21 @@ DEFAULT_BATCH_REFS = 256
 DEFAULT_SIGNATURE_BITS = 256
 
 _INVALIDATION = int(BusPattern.INVALIDATION)
-_BARRIER_OPS = frozenset(int(op) for op in LOCK_OPS)
+_BARRIER_OP_RE = re.compile(
+    b"[" + b"".join(re.escape(bytes([int(op)])) for op in LOCK_OPS) + b"]"
+)
+_FLAGGED_RE = re.compile(b"[^\\x00]")
 _W, _DW = int(Op.W), int(Op.DW)
+
+
+def _barriers(buffer: TraceBuffer, start: int, stop: int) -> List[int]:
+    """Indices in ``[start, stop)`` of lock operations and flagged
+    references — the batch barriers (found by a C-speed byte scan of
+    the one-byte op and flag columns)."""
+    _, op_col, _, _, flags_col = buffer.columns()
+    found = {m.start() for m in _BARRIER_OP_RE.finditer(op_col, start, stop)}
+    found.update(m.start() for m in _FLAGGED_RE.finditer(flags_col, start, stop))
+    return sorted(found)
 
 
 def plan_batches(
@@ -133,17 +172,15 @@ def plan_batches(
     segmentation of a suffix depends only on the suffix itself, so
     chunked (streaming) execution reproduces the monolithic boundaries.
     """
-    _, op_col, _, _, flags_col = buffer.columns()
     if stop is None:
         stop = len(buffer)
     segments: List[Tuple[int, int, bool]] = []
     lo = start
-    for i in range(start, stop):
-        if op_col[i] in _BARRIER_OPS or flags_col[i]:
-            for s in range(lo, i, batch_refs):
-                segments.append((s, min(s + batch_refs, i), True))
-            segments.append((i, i + 1, False))
-            lo = i + 1
+    for i in _barriers(buffer, start, stop):
+        for s in range(lo, i, batch_refs):
+            segments.append((s, min(s + batch_refs, i), True))
+        segments.append((i, i + 1, False))
+        lo = i + 1
     for s in range(lo, stop, batch_refs):
         segments.append((s, min(s + batch_refs, stop), True))
     return segments
@@ -167,13 +204,13 @@ def batch_signatures(
     read_sigs = [0] * n_pes
     write_sigs = [0] * n_pes
     pe_col, op_col, _, addr_col, _ = buffer.columns()
-    for i in range(start, stop):
-        bit = 1 << ((addr_col[i] >> block_shift) & mask)
-        op = op_col[i]
+    for pe, op, addr in zip(
+        pe_col[start:stop], op_col[start:stop], addr_col[start:stop]
+    ):
         if op == _W or op == _DW:
-            write_sigs[pe_col[i]] |= bit
+            write_sigs[pe] |= 1 << ((addr >> block_shift) & mask)
         else:
-            read_sigs[pe_col[i]] |= bit
+            read_sigs[pe] |= 1 << ((addr >> block_shift) & mask)
     return read_sigs, write_sigs
 
 
@@ -237,6 +274,209 @@ class _DeferredNotes:
         self._backend.note_flush()
 
 
+#: Marks a memory word that was absent (never written) when recorded.
+_ABSENT = object()
+
+_STAT_MATRICES = ("refs", "hits")
+_STAT_LISTS = (
+    "pattern_counts",
+    "pattern_cycles",
+    "bus_cycles_by_area",
+    "command_counts",
+    "pe_cycles",
+)
+_STAT_SCALARS = SystemStats._SUM_FIELDS + ("lock_dir_max_occupancy",)
+
+
+class _UndoRecord:
+    """Everything a doomed attempt over *segment* can change, taken
+    before the attempt and put back in place by :meth:`restore`.
+
+    A reference fills a block, and evicts a victim, only in the issuing
+    PE's cache and only in the set the block indexes; in other caches it
+    can only change or drop the copy of its own block.  So the record
+    holds, per cache, the membership of the sets that PE's own
+    references index and the lone copies of the segment's other blocks,
+    plus the mutable fields of every line in them (``state``, ``lru``
+    and ``data``, copied — the system mutates it in place; ``area`` is
+    fixed at fill) and every cache's LRU clock.  The presence-map and
+    directory entries and (under data tracking) the memory words of
+    every recorded block follow.  Counters, the interconnect timeline
+    and a cluster shard's network interface are global and recorded
+    whole.
+
+    Lock directories, the locked-word map and busy-wait markers are not
+    recorded: a speculative segment holds no lock operation, and the
+    only other writer — a request inhibited by a remote lock — returns
+    ``BLOCKED``, which raises out of the replay.
+
+    Restoring reinstates the recorded line, entry and stats objects, so
+    every alias into the live system stays valid.
+    """
+
+    __slots__ = (
+        "system",
+        "fields",
+        "sets",
+        "lone",
+        "ticks",
+        "holders",
+        "entries",
+        "words",
+        "stats",
+        "free_at",
+        "network",
+    )
+
+    def __init__(self, system, segment: TraceBuffer):
+        self.system = system
+        caches = system.caches
+        set_mask = caches[0]._set_mask
+        set_shift = caches[0]._set_shift
+        shift = system._block_shift
+        pe_col, _, _, addr_col, _ = segment.columns()
+        pairs = set(zip(pe_col, map(rshift, addr_col, repeat(shift))))
+        blocks = {block for _, block in pairs}
+        own = [set() for _ in caches]
+        for pe, block in pairs:
+            own[pe].add(block & set_mask)
+        holders = system._holders
+        fields = []
+        lone = []
+        for block in blocks:
+            for pe in holders.get(block, ()):
+                if block & set_mask not in own[pe]:
+                    line = caches[pe]._lines[block]
+                    lone.append((caches[pe], block, line))
+                    fields.append((
+                        line, line.state, line.lru,
+                        None if line.data is None else list(line.data),
+                    ))
+        sets = []
+        for cache, indices in zip(caches, own):
+            buckets = cache._sets
+            for index in indices:
+                bucket = buckets[index]
+                sets.append((cache, index, dict(bucket)))
+                for tag, line in bucket.items():
+                    blocks.add((tag << set_shift) | index)
+                    fields.append((
+                        line, line.state, line.lru,
+                        None if line.data is None else list(line.data),
+                    ))
+        self.fields = fields
+        self.sets = sets
+        self.lone = lone
+        self.ticks = [cache._tick for cache in caches]
+        get = holders.get
+        self.holders = [
+            (block, None if (pes := get(block)) is None else set(pes))
+            for block in blocks
+        ]
+        entries = getattr(system.interconnect, "entries", None)
+        self.entries = None
+        if entries is not None:
+            self.entries = []
+            for block in blocks:
+                entry = entries.get(block)
+                saved = None if entry is None else (
+                    entry.state, entry.owner, entry.sharers, entry.transient
+                )
+                self.entries.append((block, entry, saved))
+        self.words = None
+        if system.track_data:
+            memory = system.memory
+            width = system._block_words
+            self.words = [
+                (addr, memory.get(addr, _ABSENT))
+                for block in blocks
+                for addr in range(block << shift, (block << shift) + width)
+            ]
+        stats = system.stats
+        self.stats = (
+            [[list(row) for row in getattr(stats, name)]
+             for name in _STAT_MATRICES],
+            [list(getattr(stats, name)) for name in _STAT_LISTS],
+            [getattr(stats, name) for name in _STAT_SCALARS],
+        )
+        self.free_at = system.interconnect.free_at
+        network = getattr(system, "network", None)
+        self.network = None
+        if network is not None:
+            net_stats = network.stats
+            self.network = (
+                network.link_free_at,
+                [getattr(net_stats, name) for name in net_stats._SUM_FIELDS],
+                list(net_stats.forwards_by_home),
+            )
+
+    def restore(self) -> None:
+        system = self.system
+        for line, state, lru, data in self.fields:
+            line.state = state
+            line.lru = lru
+            if data is not None:
+                line.data[:] = data
+        for cache, index, saved in self.sets:
+            bucket = cache._sets[index]
+            if bucket != saved:  # a fill, eviction or drop happened
+                cache_lines = cache._lines
+                set_shift = cache._set_shift
+                for tag in bucket:
+                    del cache_lines[(tag << set_shift) | index]
+                bucket.clear()
+                bucket.update(saved)
+                for tag, line in saved.items():
+                    cache_lines[(tag << set_shift) | index] = line
+        for cache, block, line in self.lone:
+            if block not in cache._lines:
+                bucket = cache._sets[block & cache._set_mask]
+                bucket[block >> cache._set_shift] = line
+                cache._lines[block] = line
+        for cache, tick in zip(system.caches, self.ticks):
+            cache._tick = tick
+        holders = system._holders
+        for block, saved in self.holders:
+            if saved is None:
+                holders.pop(block, None)
+            else:
+                holders[block] = saved
+        if self.entries is not None:
+            entries = system.interconnect.entries
+            for block, entry, saved in self.entries:
+                if entry is None:
+                    entries.pop(block, None)
+                else:
+                    (entry.state, entry.owner, entry.sharers,
+                     entry.transient) = saved
+                    entries[block] = entry
+        if self.words is not None:
+            memory = system.memory
+            for addr, value in self.words:
+                if value is _ABSENT:
+                    memory.pop(addr, None)
+                else:
+                    memory[addr] = value
+        stats = system.stats
+        matrices, lists, scalars = self.stats
+        for name, saved in zip(_STAT_MATRICES, matrices):
+            for row, saved_row in zip(getattr(stats, name), saved):
+                row[:] = saved_row
+        for name, saved in zip(_STAT_LISTS, lists):
+            getattr(stats, name)[:] = saved
+        for name, value in zip(_STAT_SCALARS, scalars):
+            setattr(stats, name, value)
+        system.interconnect.free_at = self.free_at
+        if self.network is not None:
+            network = system.network
+            link_free_at, counters, by_home = self.network
+            network.link_free_at = link_free_at
+            net_stats = network.stats
+            for name, value in zip(net_stats._SUM_FIELDS, counters):
+                setattr(net_stats, name, value)
+            net_stats.forwards_by_home[:] = by_home
+
+
 class SpeculativeDriver:
     """The batch/commit/rollback state machine over one live system.
 
@@ -253,7 +493,6 @@ class SpeculativeDriver:
         system,
         batch_refs: int = DEFAULT_BATCH_REFS,
         signature_bits: int = DEFAULT_SIGNATURE_BITS,
-        kernel: Optional[str] = None,
         values: Optional[Callable[[int], int]] = None,
         on_result: Optional[Callable] = None,
         check_every: Optional[int] = None,
@@ -274,7 +513,6 @@ class SpeculativeDriver:
         self.system = system
         self.batch_refs = batch_refs
         self.signature_bits = signature_bits
-        self.kernel = kernel
         self.values = values
         self.on_result = on_result
         self._check_every = check_every or 0
@@ -286,12 +524,15 @@ class SpeculativeDriver:
         self.refs_done = 0
         self._log: List[Tuple[int, int, int, int]] = []
         self._touched: set = set()
+        #: The interpreted loop's hit handles, bound once per system.
+        self._handles = None
 
     # -- feeding ---------------------------------------------------------
 
     def feed(self, buffer: TraceBuffer) -> None:
         """Append references and execute every complete batch."""
         if len(buffer):
+            _validate_codes(buffer)
             self._pending.extend(buffer)
         self._drain(final=False)
 
@@ -305,23 +546,32 @@ class SpeculativeDriver:
     def _drain(self, final: bool) -> None:
         pending = self._pending
         n = len(pending)
-        _, op_col, _, _, flags_col = pending.columns()
         batch = self.batch_refs
+        hooked = self.values is not None or self.on_result is not None
+        access = self.system.access
+        pe_col, op_col, area_col, addr_col, flags_col = pending.columns()
         lo = 0
-        for i in range(n):
-            if op_col[i] in _BARRIER_OPS or flags_col[i]:
-                for s in range(lo, i, batch):
-                    self._run_segment(s, min(s + batch, i), True)
-                self._run_segment(i, i + 1, False)
-                lo = i + 1
+        for i in _barriers(pending, 0, n):
+            for s in range(lo, i, batch):
+                self._run_batch(s, min(s + batch, i))
+            # The barrier itself runs non-speculatively: one dispatch
+            # with full bookkeeping.
+            if hooked:
+                self._drive(pending.slice(i, i + 1), self._base + i, True)
+            else:
+                pe, op, area, addr = pe_col[i], op_col[i], area_col[i], addr_col[i]
+                if access(pe, op, area, addr, 0, flags_col[i])[0] == BLOCKED:
+                    raise ReplayBlockedError(self._base + i, pe, op, area, addr)
+            self._advance(1)
+            lo = i + 1
         # [lo, n) is a barrier-free tail: full batches run now, the
         # remainder waits for more references (or the final flush).
         s = lo
         while n - s >= batch:
-            self._run_segment(s, s + batch, True)
+            self._run_batch(s, s + batch)
             s += batch
         if final and s < n:
-            self._run_segment(s, n, True)
+            self._run_batch(s, n)
             s = n
         if s:
             self._pending = pending.slice(s, n)
@@ -329,42 +579,49 @@ class SpeculativeDriver:
 
     # -- one segment -----------------------------------------------------
 
-    def _run_segment(self, start: int, stop: int, speculative: bool) -> None:
+    def _run_batch(self, start: int, stop: int) -> None:
+        """Execute pending references ``[start, stop)`` speculatively."""
         system = self.system
         segment = self._pending.slice(start, stop)
         base = self._base + start
-        if not speculative:
-            self._drive(segment, base, observed=True, deferred=False)
-        else:
-            read_sigs, write_sigs = batch_signatures(
-                segment, 0, len(segment), system.n_pes,
+        # The commit test compares each PE's writes with *other* PEs'
+        # accesses, so a batch without a write or issued by a single PE
+        # cannot conflict and its signatures need not be built: on the
+        # 150K-reference tri prefix, 2,796 of 3,478 batches.
+        pe_col, op_col = segment.columns()[:2]
+        if (
+            (_W in op_col or _DW in op_col)
+            and len(set(pe_col)) > 1
+            and signatures_conflict(*batch_signatures(
+                segment, 0, stop - start, system.n_pes,
                 system._block_shift, self.signature_bits,
-            )
-            if signatures_conflict(read_sigs, write_sigs):
-                self._rollback_and_replay(segment, base)
-            else:
-                self._attempt(segment, base, observed=True)
-                self._settle()
-                system.stats.batch_commits += 1
-        self.refs_done += stop - start
+            ))
+        ):
+            self._rollback_and_replay(segment, base)
+        else:
+            self._attempt(segment, base, observed=True)
+            self._settle()
+            system.stats.batch_commits += 1
+        self._advance(stop - start)
+
+    def _advance(self, count: int) -> None:
+        self.refs_done += count
         if self._check_every:
             due = self.refs_done // self._check_every
             if due > self._checked:
                 self._checked = due
-                system.check_invariants()
+                self.system.check_invariants()
 
     def _rollback_and_replay(self, segment: TraceBuffer, base: int) -> None:
-        from repro.serve.checkpoint import restore_into, snapshot
-
         system = self.system
-        state = snapshot(system)
+        undo = _UndoRecord(system, segment)
         # The doomed attempt still runs: the rollback machinery is the
         # thing under test, and real hardware only learns of the
         # conflict at commit time.
         self._attempt(segment, base, observed=False)
-        restore_into(system, state)
+        undo.restore()
         system.stats.batch_rollbacks += 1
-        self._drive(segment, base, observed=True, deferred=False)
+        self._drive(segment, base, observed=True)
 
     def _attempt(self, segment: TraceBuffer, base: int, observed: bool) -> None:
         system = self.system
@@ -375,51 +632,52 @@ class SpeculativeDriver:
         if saved_dir is not None:
             system._dir = _DeferredNotes(saved_dir, recorder.touched)
         try:
-            self._drive(segment, base, observed=observed, deferred=True)
+            self._drive(segment, base, observed=observed)
         finally:
             system._bus = saved_bus
             system._dir = saved_dir
         self._log = recorder.log
         self._touched = recorder.touched
 
-    def _drive(
-        self, segment: TraceBuffer, base: int, observed: bool, deferred: bool
-    ) -> None:
-        """Execute a segment through the chosen replay loop.
+    def _drive(self, segment: TraceBuffer, base: int, observed: bool) -> None:
+        """Execute a segment through the interpreted dispatch loop.
 
-        With oracle hooks installed the per-access loop runs (global
-        indices reconstructed from *base*); ``observed=False`` keeps
-        ``on_result`` quiet during a doomed attempt, whose results the
-        rollback erases.  ``deferred`` only affects which loop is legal:
-        invariant checking stays off inside an attempt (the directory's
-        entry table is resynchronized at settlement, not before).
+        With oracle hooks installed the per-access loop runs instead
+        (global indices reconstructed from *base*); ``observed=False``
+        keeps ``on_result`` quiet during a doomed attempt, whose results
+        the rollback erases.  Invariant checking stays off inside a
+        segment (the directory's entry table is resynchronized at
+        settlement, not before).
         """
         values = self.values
         on_result = self.on_result
-        if len(segment) == 1 and values is None and on_result is None:
-            # Pessimistic lock singletons (and one-reference batches)
-            # skip the kernel machinery: one dispatch, full bookkeeping.
-            pe, op, area, addr, flags = segment[0]
-            result = self.system.access(pe, op, area, addr, 0, flags)
-            if result[0] == BLOCKED:
-                raise ReplayBlockedError(base, pe, op, area, addr)
+        if values is None and on_result is None:
+            system = self.system
+            handles = self._handles
+            if handles is None or handles[0] is not system._op_table:
+                handles = self._handles = _hit_handles(system)
+            blocked = _interpret(system, segment, handles)
+            if blocked is not None:
+                raise ReplayBlockedError(-1, *blocked)
             return
-        if values is not None or on_result is not None:
-            vfn = None
-            if values is not None:
-                vfn = lambda i, _b=base: values(_b + i)  # noqa: E731
-            rfn = None
-            if on_result is not None and observed:
-                rfn = (
-                    lambda i, pe, op, area, addr, result, _b=base:
-                    on_result(_b + i, pe, op, area, addr, result)
-                )
-            replay_access_driven(segment, self.system, values=vfn, on_result=rfn)
-        else:
-            replay(
-                segment, system=self.system, kernel=self.kernel,
-                check_invariants_every=0,
+        vfn = None
+        if values is not None:
+            vfn = lambda i, _b=base: values(_b + i)  # noqa: E731
+        rfn = None
+        if on_result is not None and observed:
+            rfn = (
+                lambda i, pe, op, area, addr, result, _b=base:
+                on_result(_b + i, pe, op, area, addr, result)
             )
+        try:
+            replay_access_driven(
+                segment, self.system, values=vfn, on_result=rfn
+            )
+        except ReplayBlockedError as error:
+            raise ReplayBlockedError(
+                base + error.index, error.pe, error.op, error.area,
+                error.address,
+            ) from None
 
     # -- commit ----------------------------------------------------------
 
@@ -487,14 +745,16 @@ def replay_speculative(
 ) -> SystemStats:
     """Replay *buffer* under speculative batch coherence.
 
-    Mirrors :func:`repro.core.replay.replay` (same config/system/kernel
-    seams, same invariant toggle) plus the oracle hooks of
+    Mirrors :func:`repro.core.replay.replay` (same config/system seams,
+    same invariant toggle) plus the oracle hooks of
     :func:`~repro.core.replay.replay_access_driven` and the two batch
     knobs.  ``batch_refs <= 1`` short-circuits to the pessimistic path
     outright — a one-reference batch settles before any concurrent
     conflict can arise, so the degenerate mode *is* the per-access
     protocol and stays bit-identical to it, speculative counters at
-    zero.  ``force_speculation=True`` (tests only) runs the full
+    zero.  *kernel* selects the replay loop of that short-circuit only:
+    speculative batches always run the interpreted loop (see the
+    module docstring).  ``force_speculation=True`` (tests only) runs the full
     defer/settle machinery anyway, which the property suite uses to pin
     deferral + immediate settlement counter-identical to live charging.
     """
@@ -519,7 +779,6 @@ def replay_speculative(
         system,
         batch_refs=batch_refs,
         signature_bits=signature_bits,
-        kernel=kernel,
         values=values,
         on_result=on_result,
         check_every=check_invariants_every,

@@ -355,6 +355,17 @@ def validate_bench(record: Mapping) -> Mapping:
         ratio = _require(entry, sub, "hit_ratio", (int, float))
         if not 0.0 <= float(ratio) <= 1.0:
             raise SchemaError(f"{sub}.hit_ratio: {ratio} outside [0, 1]")
+    lazypim = record.get("lazypim")
+    if lazypim is not None:
+        if not isinstance(lazypim, Mapping):
+            raise SchemaError(f"{where}.lazypim: expected an object")
+        for name, entry in lazypim.items():
+            sub = f"{where}.lazypim[{name!r}]"
+            if not isinstance(entry, Mapping):
+                raise SchemaError(f"{sub}: expected an object")
+            _require_rate(entry, sub, "refs_per_sec")
+            _require_rate(entry, sub, "pessimistic_refs_per_sec")
+            _require_rate(entry, sub, "ratio")
     kernels = record.get("kernels")
     if kernels is not None:
         sub = f"{where}.kernels"

@@ -25,6 +25,12 @@ Traces are stored content-addressed, so resubmitting the same trace
 under a different config reuses the bytes already on disk — the
 job-fleet analogue of the ``Workloads`` trace cache.
 
+A checkpoint that cannot be read back (truncated, corrupt or
+schema-invalid) is treated as absent: it is moved aside to
+``checkpoint.json.corrupt``, a structured warning is logged and noted on
+the job record (error kind ``checkpoint-corrupt``), and the job restarts
+from chunk 0 — instead of every retry failing on the same file.
+
 Fault injection for tests and CI: when ``REPRO_SERVE_FAULT_KILL_AFTER``
 is set to *N*, a worker on its **first** attempt SIGKILLs itself after
 replaying N chunks (a real kill signal, mid-stream); retries run clean.
@@ -42,6 +48,7 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from repro.core.config import SimulationConfig
+from repro.obs.log import get_logger
 from repro.obs.manifest import build_manifest, config_from_dict
 from repro.obs.schema import JOB_SCHEMA, JOB_STATES, validate_job
 from repro.obs.telemetry import heartbeat
@@ -54,6 +61,8 @@ from repro.trace.io import iter_trace_chunks, write_trace_chunked
 #: Environment hook: SIGKILL the worker after N chunks (first attempt
 #: only).  Exists so the retry path is exercised deterministically.
 FAULT_KILL_ENV = "REPRO_SERVE_FAULT_KILL_AFTER"
+
+logger = get_logger("serve.jobs")
 
 DEFAULT_CHUNK_REFS = 8_192
 DEFAULT_CHECKPOINT_EVERY = 4
@@ -283,12 +292,8 @@ def _job_worker(root: str, job_id: str) -> None:
         if raw:
             kill_after = int(raw)
 
-    system = None
-    start_chunk = 0
-    saved = store.checkpoint(job_id)
-    if saved is not None:
-        system = restore(saved["state"])
-        start_chunk = saved["chunks_done"]
+    saved, system = _resume_point(store, job_id)
+    start_chunk = saved["chunks_done"] if saved else 0
 
     refs_total = _trace_refs(trace_path)
     started = time.monotonic()
@@ -391,6 +396,42 @@ def _job_worker(root: str, job_id: str) -> None:
         },
     )
     store.update(job_id, state="done")
+
+
+def _resume_point(store: JobStore, job_id: str):
+    """``(checkpoint, restored system)`` to resume from, or
+    ``(None, None)`` to start at chunk 0.
+
+    An unreadable checkpoint would fail every retry the same way, so it
+    is moved aside to ``checkpoint.json.corrupt`` and reported (a
+    structured warning plus a ``checkpoint-corrupt`` error on the job
+    record) instead of raised.
+    """
+    path = store.checkpoint_path(job_id)
+    try:
+        saved = store.checkpoint(job_id)
+        if saved is None:
+            return None, None
+        for key in ("chunks_done", "refs_done", "hits_done"):
+            if not isinstance(saved[key], int):
+                raise TypeError(f"{key} is not an integer")
+        return saved, restore(saved["state"])
+    except (ValueError, KeyError, TypeError) as error:
+        corrupt = path.with_name(path.name + ".corrupt")
+        path.replace(corrupt)
+        detail = (
+            f"unreadable checkpoint ({type(error).__name__}: {error}); "
+            f"moved to {corrupt.name}, restarting from chunk 0"
+        )
+        logger.warning(
+            "job %s: %s", job_id, detail,
+            extra={"event": "checkpoint-corrupt", "job": job_id,
+                   "path": str(corrupt), "error": str(error)},
+        )
+        store.update(
+            job_id, error={"kind": "checkpoint-corrupt", "detail": detail}
+        )
+        return None, None
 
 
 def _trace_refs(path: Path) -> int:

@@ -305,16 +305,18 @@ def run_lazypim_case(
     (including the doomed attempt's pessimistic replay) must match the
     flat model, which is exactly the "rollbacks are invisible" oracle;
     (1b) final-memory identity against a pessimistic replay after a
-    full writeback; (2/2b) interpreted and generated kernels driving
-    the batches, counter-identical; (2c) chunked feeding through
+    full writeback; (2) the unhooked driver without data tracking —
+    batches on the interpreted loop instead of the per-access one —
+    counter-identical; (2c) chunked feeding through
     :class:`~repro.core.speculative.SpeculativeDriver` split mid-trace
     (the ``repro serve`` streaming seam) must reproduce the monolithic
     batch boundaries bit for bit; (3) the checked loop with the
     invariant battery at batch boundaries; (4) sharded clustered replay
-    per cluster count, interpreted vs generated, with a per-shard value
-    pass for multi-cluster runs (speculation is per-bus, so each
-    cluster batches independently; there is no interleaved speculative
-    path).  With *require_rollback* the case additionally fails unless
+    per cluster count, with a per-shard value pass for multi-cluster
+    runs (speculation is per-bus, so each cluster batches
+    independently; there is no interleaved speculative path).  Batches
+    always run the interpreted loop, so no replay kernel is rotated
+    here.  With *require_rollback* the case additionally fails unless
     at least one batch actually rolled back — the forced-conflict fuzz
     rotation uses it so a silently-too-weak conflict generator cannot
     pass.  Returns the number of references replayed, summed over paths.
@@ -358,45 +360,24 @@ def run_lazypim_case(
             "replay's after writeback — a rollback leaked state",
         )
 
-    # (2) Interpreted kernel driving the batches: counters must be
-    # identical to the per-access driver.
-    interpreted = replay(
+    # (2) The unhooked driver without data tracking (the production
+    # path, batches on the interpreted loop): counters must be
+    # identical to the hooked per-access value pass.
+    unhooked = replay(
         trace,
         base,
         n_pes=n_pes,
-        kernel="interpreted",
         mode="lazypim",
         batch_refs=batch_refs,
         signature_bits=signature_bits,
     ).as_dict()
     refs += len(trace)
-    if interpreted != flat:
+    if unhooked != flat:
         raise Divergence(
             "lazypim-kernel",
-            "speculative interpreted kernel disagrees with the "
-            "per-access driver: "
-            + _dict_diff("kernel", interpreted, "access", flat),
+            "unhooked speculative replay disagrees with the hooked "
+            "driver: " + _dict_diff("unhooked", unhooked, "hooked", flat),
         )
-
-    # (2b) Generated kernel driving the batches.
-    if codegen.available():
-        generated = replay(
-            trace,
-            base,
-            n_pes=n_pes,
-            kernel="generated",
-            mode="lazypim",
-            batch_refs=batch_refs,
-            signature_bits=signature_bits,
-        ).as_dict()
-        refs += len(trace)
-        if generated != flat:
-            raise Divergence(
-                "lazypim-generated",
-                "speculative generated kernel disagrees with the "
-                "per-access driver: "
-                + _dict_diff("generated", generated, "access", flat),
-            )
 
     # (2c) Chunk-boundary independence: feeding the trace in two pieces
     # must reproduce the monolithic batch segmentation (this is the
@@ -449,7 +430,6 @@ def run_lazypim_case(
             trace,
             clustered_config,
             n_pes=n_pes,
-            kernel="interpreted",
             mode="lazypim",
             batch_refs=batch_refs,
             signature_bits=signature_bits,
@@ -463,27 +443,6 @@ def run_lazypim_case(
                 + _dict_diff("clustered", sharded.stats.as_dict(),
                              "flat", flat),
             )
-        if codegen.available():
-            sharded_generated = replay_clustered(
-                trace,
-                clustered_config,
-                n_pes=n_pes,
-                kernel="generated",
-                mode="lazypim",
-                batch_refs=batch_refs,
-                signature_bits=signature_bits,
-            )
-            refs += len(trace)
-            if sharded_generated.as_dict() != sharded.as_dict():
-                raise Divergence(
-                    "lazypim-cluster",
-                    f"K={n_clusters} speculative sharded replay differs "
-                    "between kernels: "
-                    + _dict_diff(
-                        "generated", sharded_generated.as_dict(),
-                        "interpreted", sharded.as_dict(),
-                    ),
-                )
         if n_clusters > 1:
             # Per-shard value pass: clusters share nothing, so each
             # shard is a closed trace with its own flat memory (and its

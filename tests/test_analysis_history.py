@@ -216,3 +216,46 @@ def test_validate_bench_rejects_malformed_reports(mutate):
     mutate(report)
     with pytest.raises(SchemaError):
         validate_bench(report)
+
+
+def lazypim_report(rate: float = 1_000_000.0) -> dict:
+    report = sample_report(rate)
+    report["mode"] = "lazypim"
+    report["lazypim"] = {
+        "hot": {
+            "refs_per_sec": round(rate),
+            "pessimistic_refs_per_sec": round(rate * 2),
+            "ratio": 0.5,
+        },
+    }
+    return report
+
+
+def test_lazypim_history_sections_stay_apart_from_pessimistic():
+    """A speculative run's workload rates must not land in the
+    pessimistic ``workload.*`` history of the same workload."""
+    sections = history_record(lazypim_report())["sections"]
+    assert sections["lazypim.hot.refs_per_sec"] == 1_000_000.0
+    assert sections["lazypim.hot.pessimistic_refs_per_sec"] == 2_000_000.0
+    assert sections["lazypim.hot.ratio"] == 0.5
+    assert not any(name.startswith("workload.") for name in sections)
+
+
+def test_validate_bench_checks_the_lazypim_section():
+    report = lazypim_report()
+    validate_bench(report)
+    report["lazypim"]["hot"]["ratio"] = 0
+    with pytest.raises(SchemaError, match="lazypim"):
+        validate_bench(report)
+
+
+def test_format_report_prints_lazypim_against_pessimistic():
+    from repro.analysis.bench import format_report
+
+    report = lazypim_report()
+    for entry in report["workloads"].values():
+        entry["speedup"] = None
+    report["sweep"]["wall_seconds_serial"] = 1.0
+    del report["cluster"]
+    text = format_report(report)
+    assert "vs pessimistic 2,000,000 (0.50x)" in text

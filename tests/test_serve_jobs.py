@@ -173,6 +173,53 @@ def test_job_fails_after_max_retries_with_structured_error(
     assert store.result(job_id) is None
 
 
+def _real_checkpoint_bytes(trace, chunks_done, chunk_refs=500):
+    """A genuine job checkpoint record after *chunks_done* chunks."""
+    from repro.core.system import PIMCacheSystem
+    from repro.serve.checkpoint import snapshot
+
+    system = PIMCacheSystem(SimulationConfig(), 4)
+    replay(trace.slice(0, chunks_done * chunk_refs), system=system)
+    record = {
+        "state": snapshot(system),
+        "chunks_done": chunks_done,
+        "refs_done": system.stats.total_refs,
+        "hits_done": system.stats.total_hits,
+    }
+    return (json.dumps(record, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda raw: raw[: len(raw) // 2],  # torn write
+        lambda raw: b"\x00\xff" + raw[2:],  # flipped leading bytes
+        lambda raw: json.dumps({"chunks_done": 4}).encode(),  # no state
+    ],
+    ids=["truncated", "garbage", "no-state"],
+)
+def test_unreadable_checkpoint_restarts_from_chunk_zero(
+    tmp_path, job_trace, reference_stats, damage
+):
+    """An unreadable checkpoint must not use up the retries: it is moved
+    aside, noted on the record, and the job replays from chunk 0 to the
+    uninterrupted counters."""
+    store = JobStore(tmp_path / "store")
+    job_id = _submit(store, job_trace)  # 12 chunks, checkpoint every 2
+    path = store.checkpoint_path(job_id)
+    path.write_bytes(damage(_real_checkpoint_bytes(job_trace, 4)))
+
+    record = JobServer(store).run_job(job_id)
+    assert record["state"] == "done"
+    assert record["retries"] == 0
+    assert record["error"]["kind"] == "checkpoint-corrupt"
+    assert "chunk 0" in record["error"]["detail"]
+    assert path.with_name("checkpoint.json.corrupt").exists()
+    assert store.result(job_id)["stats"] == reference_stats
+    # The replay restarted from chunk 0, not from the damaged marker.
+    assert store.heartbeats(job_id)[0]["point"] == 1
+
+
 def test_run_job_is_idempotent_once_done(tmp_path, job_trace):
     store = JobStore(tmp_path / "store")
     job_id = _submit(store, job_trace)

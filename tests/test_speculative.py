@@ -10,12 +10,15 @@ The engine's contract (docs/SPECULATIVE.md) is tested from four sides:
   signature width (hypothesis);
 * **identities** — batch size 1 is counter-identical to the pessimistic
   path for every registered protocol, commit/rollback counters are
-  deterministic across kernels and cluster counts, the cycle-ledger
-  exact-sum invariant survives bulk settlement, and streamed/chunked
-  execution reproduces the monolithic run;
+  deterministic across repeated runs and cluster counts, the
+  cycle-ledger exact-sum invariant survives bulk settlement, and
+  streamed/chunked execution reproduces the monolithic run;
 * **rollback** — conflicting batches roll back invisibly (final memory
   equals the pessimistic run), including across a persisted checkpoint
-  boundary, and the snapshot never aliases live cache-line data (the
+  boundary; the batch-scoped undo record puts back exactly the state
+  taken before the doomed attempt ({bus, directory} x data tracking x
+  flat or cluster shard, with evicting cache geometry); and neither the
+  snapshot nor the undo record aliases live cache-line data (the
   regression that once leaked a future write backward through a
   rollback).
 """
@@ -28,7 +31,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.replay import replay_clustered
-from repro.core.config import SimulationConfig
+from repro.core import speculative
+from repro.core.cache import Cache
+from repro.core.config import CacheConfig, SimulationConfig
 from repro.core.protocol import codegen, protocol_names
 from repro.core.replay import replay
 from repro.core.speculative import (
@@ -137,6 +142,12 @@ def test_conflict_fires_on_cross_pe_write_intersection():
     trace.append(0, Op.R, Area.HEAP, HEAP + 1)
     reads, writes = batch_signatures(trace, 0, 2, 2, 2, 256)
     assert not signatures_conflict(reads, writes)
+    # Nor do reads alone (the driver skips signatures for both cases).
+    trace = TraceBuffer(n_pes=2)
+    trace.append(0, Op.R, Area.HEAP, HEAP)
+    trace.append(1, Op.ER, Area.HEAP, HEAP + 1)
+    reads, writes = batch_signatures(trace, 0, 2, 2, 2, 256)
+    assert not signatures_conflict(reads, writes)
 
 
 @settings(max_examples=80, deadline=None)
@@ -195,7 +206,7 @@ def test_forced_batch_one_differs_only_in_speculative_counters():
 
 
 # ---------------------------------------------------------------------------
-# Determinism across kernels and cluster counts.
+# Determinism across repeated runs and cluster counts.
 
 
 @settings(max_examples=6, deadline=None)
@@ -203,32 +214,18 @@ def test_forced_batch_one_differs_only_in_speculative_counters():
 def test_commit_rollback_counters_deterministic(seed):
     trace = generate_false_sharing_trace(1_200, n_pes=4, seed=seed)
     config = SimulationConfig()
-    flat = replay(
-        trace, config, kernel="interpreted", mode="lazypim", batch_refs=64
-    ).as_dict()
-    for kernel in KERNELS[1:]:
-        assert (
-            replay(
-                trace, config, kernel=kernel, mode="lazypim", batch_refs=64
-            ).as_dict()
-            == flat
-        )
+    flat = replay(trace, config, mode="lazypim", batch_refs=64).as_dict()
+    assert replay(
+        trace, config, mode="lazypim", batch_refs=64
+    ).as_dict() == flat
     clustered = replay_clustered(
-        trace,
-        config.with_clusters(2),
-        kernel="interpreted",
-        mode="lazypim",
-        batch_refs=64,
+        trace, config.with_clusters(2), mode="lazypim", batch_refs=64
     )
-    for kernel in KERNELS[1:]:
-        again = replay_clustered(
-            trace,
-            config.with_clusters(2),
-            kernel=kernel,
-            mode="lazypim",
-            batch_refs=64,
-        )
-        assert again.stats.as_dict() == clustered.stats.as_dict()
+    again = replay_clustered(
+        trace, config.with_clusters(2), mode="lazypim", batch_refs=64
+    )
+    assert again.stats.as_dict() == clustered.stats.as_dict()
+    assert again.network.as_dict() == clustered.network.as_dict()
 
 
 def test_lazypim_rolls_back_on_false_sharing():
@@ -246,15 +243,16 @@ def test_lazypim_rolls_back_on_false_sharing():
 @pytest.mark.parametrize("interconnect", ["bus", "directory"])
 def test_cycle_ledger_exact_under_lazypim(kernel, interconnect):
     trace = generate_contract_trace(3_000, n_pes=4, seed=7)
-    stats = replay(
-        trace,
-        SimulationConfig(interconnect=interconnect),
-        kernel=kernel,
-        mode="lazypim",
-    )
+    config = SimulationConfig(interconnect=interconnect)
+    stats = replay(trace, config, kernel=kernel, mode="lazypim")
     ledger = cycle_ledger(stats)  # verify=True raises on any mismatch
     assert ledger.attributed_total == ledger.pe_cycles_total
     assert stats.batch_commits > 0
+    # *kernel* only reaches the batch_refs=1 short-circuit; batches
+    # always run the per-access loop, so the kernel cannot matter there.
+    assert replay(trace, config, mode="lazypim").as_dict() == stats.as_dict()
+    single = replay(trace, config, kernel=kernel, mode="lazypim", batch_refs=1)
+    cycle_ledger(single)
 
 
 def test_cycle_ledger_exact_under_rollback_storm():
@@ -337,7 +335,9 @@ def test_rollback_spans_checkpoint_boundary():
 def test_snapshot_does_not_alias_cached_line_data():
     """Regression: cache-line data lists are mutated in place by the
     system, so an aliasing snapshot decays as the run continues — the
-    bug once let a rolled-back batch's future write leak backward."""
+    bug once let a rolled-back batch's future write leak backward.  The
+    rollback path's own record, the batch-scoped undo record, is held to
+    the same rule."""
     config = SimulationConfig(track_data=True)
     system = PIMCacheSystem(config, 2)
     system.access(0, Op.W, Area.HEAP, HEAP, 7)
@@ -347,6 +347,83 @@ def test_snapshot_does_not_alias_cached_line_data():
     assert json.dumps(state, sort_keys=True) == frozen
     restore_into(system, state)
     assert system.access(0, Op.R, Area.HEAP, HEAP)[2] == 7
+
+    segment = TraceBuffer(n_pes=2)
+    segment.append(0, Op.W, Area.HEAP, HEAP)
+    undo = speculative._UndoRecord(system, segment)
+    system.access(0, Op.W, Area.HEAP, HEAP, 99)  # in-place line mutation
+    undo.restore()
+    assert system.access(0, Op.R, Area.HEAP, HEAP)[2] == 7
+
+
+# ---------------------------------------------------------------------------
+# Batch-scoped undo: the state after a rollback is the state before the
+# doomed attempt, exactly.
+
+
+def _watch_rollbacks(monkeypatch):
+    """Record (before, after-undo) snapshots of every rollback and count
+    the cache evictions its doomed attempt made."""
+    pairs = []
+    evictions = [0]
+    live = [False]
+    record_init = speculative._UndoRecord.__init__
+    record_restore = speculative._UndoRecord.restore
+    cache_insert = Cache.insert
+
+    def init(self, system, segment):
+        pairs.append([json.dumps(snapshot(system), sort_keys=True)])
+        record_init(self, system, segment)
+        live[0] = True
+
+    def restore(self):
+        live[0] = False
+        record_restore(self)
+        pairs[-1].append(json.dumps(snapshot(self.system), sort_keys=True))
+
+    def insert(self, block, state, area, data=None):
+        victim = cache_insert(self, block, state, area, data)
+        if live[0] and victim is not None:
+            evictions[0] += 1
+        return victim
+
+    monkeypatch.setattr(speculative._UndoRecord, "__init__", init)
+    monkeypatch.setattr(speculative._UndoRecord, "restore", restore)
+    monkeypatch.setattr(Cache, "insert", insert)
+    return pairs, evictions
+
+
+@pytest.mark.parametrize("shard", [False, True], ids=["flat", "k2-shard"])
+@pytest.mark.parametrize("track_data", [False, True], ids=["nodata", "data"])
+@pytest.mark.parametrize("interconnect", ["bus", "directory"])
+def test_undo_restores_pre_attempt_state_exactly(
+    monkeypatch, interconnect, track_data, shard
+):
+    # 8 direct-mapped sets: doomed attempts evict (victims, write-backs
+    # and presence-map shrinkage must be undone), and PEs keep copies in
+    # sets their own batch references never index (lone lines).
+    config = SimulationConfig(
+        cache=CacheConfig(block_words=4, n_sets=8, associativity=1),
+        interconnect=interconnect,
+        track_data=track_data,
+    )
+    trace = generate_false_sharing_trace(1_500, n_pes=4, seed=6)
+    pairs, evictions = _watch_rollbacks(monkeypatch)
+    if shard:
+        result = replay_clustered(
+            trace, config.with_clusters(2), mode="lazypim", batch_refs=32
+        )
+        rollbacks = result.stats.batch_rollbacks
+    else:
+        system = PIMCacheSystem(config, 4)
+        rollbacks = replay_speculative(
+            trace, system=system, batch_refs=32
+        ).batch_rollbacks
+        system.check_invariants()
+    assert rollbacks > 0 and len(pairs) == rollbacks
+    assert evictions[0] > 0
+    for before, after in pairs:
+        assert after == before
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +481,24 @@ def test_driver_rejects_bad_knobs():
         SpeculativeDriver(system, batch_refs=0)
     with pytest.raises(ValueError, match="signature_bits"):
         SpeculativeDriver(system, signature_bits=3)
+
+
+def test_core_speculative_imports_nothing_from_serve():
+    """Rollback is core's own business: checkpoints are for durability.
+    Function-level imports count too."""
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(speculative))
+    imported = [
+        node.module if isinstance(node, ast.ImportFrom)
+        else alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert imported
+    assert not [name for name in imported if name.startswith("repro.serve")]
 
 
 def test_driver_rejects_clustered_systems():
